@@ -1,24 +1,26 @@
 # Verification entry points. `make check` is the full gate: formatting,
 # lint (go vet plus the project's own mdlint analyzers — see DESIGN.md
-# §8), build, plain tests, and the race detector (the
+# §8), build, plain tests, the race detector (the
 # distributed/faultinject packages are goroutine-heavy, so tier-1 runs
-# them under -race too). `make bench` runs the paper's experiment
-# benchmarks (E1–E14) with allocation counts and the E12 executor guard;
-# it is a separate target because the full sweep takes minutes.
+# them under -race too), and the bench/ module's own vet and tests.
+# `make bench` runs the paper's experiment benchmarks (E1–E14) with
+# allocation counts and the executor guards (columnar vs the scalar
+# Algorithm 3.1 reference, stats overhead, shared scans, incremental
+# deltas); it is a separate target because the full sweep takes minutes.
 # `make fuzz-smoke` gives each native fuzz target a short budget — the
 # CI slice of the continuous `go test -fuzz` runs.
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check check-nolint fmt lint vet build test race race-metrics race-shared race-incremental bench bench-guard fuzz-smoke serve-smoke
+.PHONY: check check-nolint fmt lint vet build test race race-metrics race-shared race-incremental bench-check bench bench-guard fuzz-smoke serve-smoke
 
-check: fmt lint build test race race-metrics race-shared race-incremental
+check: fmt lint build test race race-metrics race-shared race-incremental bench-check
 
 # The CI check job runs this variant: lint is its own CI job (with the
 # build cache persisted across runs, since mdlint loads the module
 # against export data), so the main gate does not pay for it twice.
-check-nolint: fmt build test race race-metrics race-shared race-incremental
+check-nolint: fmt build test race race-metrics race-shared race-incremental bench-check
 
 # gofmt emits nothing when the tree is clean; any path listed fails the
 # gate.
@@ -72,24 +74,30 @@ race-shared:
 race-incremental:
 	$(GO) test -race -count=1 -run 'TestIncremental' ./internal/core
 
+# The end-to-end benchmark harness (bench/) is its own Go module, so
+# `go build ./...` and `go test ./...` never compile it. It builds
+# against internal/core, sqlext, server and friends; vet and test it
+# here so a refactor cannot break the benchmark unseen.
+bench-check:
+	cd bench && $(GO) vet . && $(GO) test .
+
 # All E1–E14 experiment benchmarks with -benchmem, then the guards. The
-# guards (also runnable alone via bench-guard) assert on the E12 workload
-# that (a) the row-batch executor over the flat hash index is no slower
-# than the tuple-at-a-time map-index baseline, (b) the columnar chunk
-# executor stays 1.7x under the boxed row-batch tier (the PR 7 probe
-# pipeline ratchet) with zero boxed-fallback elements, (c) the morsel
-# scheduler stays 1.2x under the static split on the skewed-survival
-# workload, (d) enabling Options.Stats costs no more than 5% over a
-# Stats==nil run, and (e) folding a 1% delta into a live
-# core.Incremental stays 10x under re-evaluating the accumulated
-# relation — the regression tripwires for the executor hot path, its
-# probe pipeline, its instrumentation, and incremental maintenance.
+# guards (also runnable alone via bench-guard) assert that (a) on the E12
+# workload the columnar executor over the flat hash index is no slower
+# than the tuple-at-a-time map-index baseline, allocates no more, and
+# stays on typed kernels with zero boxed-fallback elements, (b) enabling
+# Options.Stats costs no more than 5% over a Stats==nil run, (c)
+# concurrent queries over one relation merge into one shared scan, and
+# (d) folding a 1% delta into a live core.Incremental stays 10x under
+# re-evaluating the accumulated relation — the regression tripwires for
+# the executor hot path, its instrumentation, shared scans, and
+# incremental maintenance.
 bench: bench-guard
 	$(GO) test -bench 'BenchmarkE' -benchmem -benchtime 5x -run '^$$' .
 	$(GO) test ./internal/distributed -bench ScatterFragments -benchtime 20x -run '^$$'
 
 bench-guard:
-	MDJOIN_BENCH_GUARD=1 $(GO) test -run 'TestE12(Batch|Columnar)Guard|TestMorselSkewGuard|TestStatsOverheadGuard|TestSharedScanGuard|TestIncrementalDeltaGuard' -count=1 -v .
+	MDJOIN_BENCH_GUARD=1 $(GO) test -run 'TestE12BatchGuard|TestStatsOverheadGuard|TestSharedScanGuard|TestIncrementalDeltaGuard' -count=1 -v .
 	MDJOIN_BENCH_GUARD=1 $(GO) test ./internal/server -run TestServerOverheadGuard -count=1 -v
 
 # End-to-end smoke of the mdserve lifecycle with the real binaries:

@@ -15,12 +15,15 @@ import (
 
 // TestE12BatchGuard is the executor performance tripwire run by
 // `make bench` (and `make bench-guard`): on the E12 indexing workload, the
-// default vectorized batch executor over the flat hash index must be no
-// slower — and must allocate no more — than the retained tuple-at-a-time
+// default columnar executor over the flat hash index must be no slower —
+// and must allocate no more — than the retained tuple-at-a-time
 // interpreter over the map-backed index (the pre-batch baseline,
 // Options.DisableBatch). Timing comparisons are inherently noisy, so the
 // guard is opt-in via MDJOIN_BENCH_GUARD and allows a 15% wall-clock
-// slack; the allocation comparison is exact.
+// slack; the allocation comparison is exact. The all-typed plan must also
+// stay entirely on the columnar tier's typed kernels: a single
+// boxed-fallback element means a chunk column demoted or a kernel lost its
+// typed path.
 func TestE12BatchGuard(t *testing.T) {
 	if os.Getenv("MDJOIN_BENCH_GUARD") == "" {
 		t.Skip("set MDJOIN_BENCH_GUARD=1 (or run `make bench`) to run the executor performance guard")
@@ -63,67 +66,6 @@ func TestE12BatchGuard(t *testing.T) {
 		t.Errorf("batched executor allocates more than the scalar baseline: %d > %d allocs/op",
 			batched.AllocsPerOp(), scalar.AllocsPerOp())
 	}
-}
-
-// TestE12ColumnarGuard is the tripwire for the columnar tier: on the same
-// E12 workload, the default chunk executor must beat the boxed row-batch
-// executor it replaced (Options.DisableColumnar) by at least 1.7× — the
-// PR 7 ratchet. The vectorized probe pipeline (columnar hash kernels,
-// dict-code keys, tag pre-filter) measures 2×+ on this plan even with the
-// other guards co-scheduled in the same process, while the pre-PR 7
-// per-row boxed probe measured 1.45×, so 1.7× separates the two with
-// noise headroom on both sides. The executor also must not allocate
-// beyond a small fixed headroom over the row-batch baseline. The
-// headroom covers the per-query chunk-kernel compilation (a few dozen
-// allocations, independent of data size); any per-tuple or per-batch
-// allocation regression scales in the thousands on this workload and
-// trips the guard immediately. The all-typed plan must also stay entirely
-// on the typed kernels: a single boxed-fallback element means a chunk
-// column demoted or a kernel lost its typed path. Same opt-in gate as
-// TestE12BatchGuard.
-func TestE12ColumnarGuard(t *testing.T) {
-	if os.Getenv("MDJOIN_BENCH_GUARD") == "" {
-		t.Skip("set MDJOIN_BENCH_GUARD=1 (or run `make bench`) to run the executor performance guard")
-	}
-
-	detail := benchSales(20000, 12)
-	full, err := cube.DistinctBase(detail, "cust", "month")
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := &table.Table{Schema: full.Schema, Rows: full.Rows}
-	if base.Len() > 1000 {
-		base.Rows = base.Rows[:1000]
-	}
-	specs := []agg.Spec{agg.NewSpec("sum", expr.QC("R", "sale"), "total")}
-	theta := expr.And(
-		expr.Eq(expr.QC("R", "cust"), expr.C("cust")),
-		expr.Eq(expr.QC("R", "month"), expr.C("month")))
-
-	run := func(opt core.Options) testing.BenchmarkResult {
-		return testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.Eval(base, detail, []core.Phase{{Aggs: specs, Theta: theta}}, opt); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	columnar := run(core.Options{})
-	rowbatch := run(core.Options{DisableColumnar: true})
-
-	t.Logf("columnar: %v (%d allocs/op), boxed row-batch baseline: %v (%d allocs/op)",
-		columnar, columnar.AllocsPerOp(), rowbatch, rowbatch.AllocsPerOp())
-	if lim := rowbatch.NsPerOp() * 10 / 17; columnar.NsPerOp() > lim {
-		t.Errorf("columnar probe pipeline regressed: %d ns/op > %d ns/op (must stay 1.7x under the row-batch baseline %d)",
-			columnar.NsPerOp(), lim, rowbatch.NsPerOp())
-	}
-	const compileHeadroom = 64 // fixed per-query chunk-kernel compilation cost
-	if lim := rowbatch.AllocsPerOp() + compileHeadroom; columnar.AllocsPerOp() > lim {
-		t.Errorf("columnar executor allocates beyond the row-batch baseline plus compile headroom: %d > %d allocs/op",
-			columnar.AllocsPerOp(), lim)
-	}
 
 	// The all-typed E12 plan must run on the columnar tier with zero
 	// boxed-fallback elements: the equi-keys hash as typed vectors and the
@@ -140,78 +82,6 @@ func TestE12ColumnarGuard(t *testing.T) {
 			t.Errorf("phase %d: %d boxed-fallback elements on an all-typed plan (typed %d)",
 				pi, ph.BoxedElems, ph.TypedElems)
 		}
-	}
-}
-
-// TestMorselSkewGuard pins the morsel scheduler's advantage over the
-// retained static splitter on the e16 skew shape: every surviving tuple
-// sits in the first quarter of a Builder-built R, so a static p=4 split
-// makes worker 0 the straggler AND re-transposes each worker's sub-slice
-// (sub-tables lose the parent's columnar mirror), while the morsel cursor
-// spreads the hot quarter across the pool and addresses the shared
-// prebuilt chunks by offset. The chunk-mirror half of that advantage is
-// scheduler-independent, so the guard holds even on a single-CPU host;
-// with real cores the straggler redistribution widens it. Isolated runs
-// measure 1.6–1.7×; co-scheduled with the other guards the gap narrows
-// under GC pressure, so the ratchet asks ≥1.2× — losing the prebuilt
-// mirror entirely puts the schedulers at parity (≈1.0×), well below it.
-// Same opt-in gate as TestE12BatchGuard.
-func TestMorselSkewGuard(t *testing.T) {
-	if os.Getenv("MDJOIN_BENCH_GUARD") == "" {
-		t.Skip("set MDJOIN_BENCH_GUARD=1 (or run `make bench`) to run the scheduler skew guard")
-	}
-
-	const n = 200000
-	hot := n / 4
-	db := table.NewBuilder(table.SchemaOf("cust", "month", "sale"))
-	for i := 0; i < n; i++ {
-		cust := int64(1000 + i%2000) // absent from B
-		if i < hot {
-			cust = int64(i % 50) // present in B
-		}
-		db.Append(table.Row{
-			table.Int(cust),
-			table.Int(int64(i%12 + 1)),
-			table.Float(float64(i%97) / 3),
-		})
-	}
-	detail := db.Table()
-	base := table.New(table.SchemaOf("cust", "month"))
-	for c := 0; c < 50; c++ {
-		for m := 1; m <= 12; m++ {
-			base.Append(table.Row{table.Int(int64(c)), table.Int(int64(m))})
-		}
-	}
-	phases := []core.Phase{{
-		Aggs: []agg.Spec{
-			agg.NewSpec("sum", expr.QC("R", "sale"), "total"),
-			agg.NewSpec("avg", expr.QC("R", "sale"), "mean"),
-			agg.NewSpec("min", expr.QC("R", "sale"), "lo"),
-			agg.NewSpec("max", expr.QC("R", "sale"), "hi"),
-		},
-		Theta: expr.And(
-			expr.Eq(expr.QC("R", "cust"), expr.C("cust")),
-			expr.Eq(expr.QC("R", "month"), expr.C("month"))),
-	}}
-	run := func(opt core.Options) testing.BenchmarkResult {
-		opt.DetailParallelism = 4
-		return testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.Eval(base, detail, phases, opt); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	morsel := run(core.Options{})
-	static := run(core.Options{StaticDetailSplit: true})
-
-	t.Logf("morsel: %v, static split: %v (%.2fx)",
-		morsel, static, float64(static.NsPerOp())/float64(morsel.NsPerOp()))
-	if lim := static.NsPerOp() * 10 / 12; morsel.NsPerOp() > lim {
-		t.Errorf("morsel scheduler lost its skew advantage: %d ns/op > %d ns/op (static %d / 1.2)",
-			morsel.NsPerOp(), lim, static.NsPerOp())
 	}
 }
 

@@ -402,10 +402,9 @@ func BenchmarkE11CubeStrategies(b *testing.B) {
 // BenchmarkE12Index measures Section 4.5: indexed relative-set lookup
 // versus the verbatim Algorithm 3.1 nested loop, as |B| grows. The
 // indexed variant runs the default columnar chunk executor over the flat
-// hash index; rowbatch is the boxed row-batch executor it replaced as the
-// default (Options.DisableColumnar); scalar is the tuple-at-a-time
-// interpreter over the map-backed index (the pre-batch baseline, kept for
-// regression comparison).
+// hash index; scalar is the tuple-at-a-time interpreter over the
+// map-backed index (the pre-batch baseline, kept for regression
+// comparison).
 func BenchmarkE12Index(b *testing.B) {
 	detail := benchSales(20000, 12)
 	full := tb(b)(cube.DistinctBase(detail, "cust", "month"))
@@ -422,15 +421,6 @@ func BenchmarkE12Index(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := core.Eval(base, detail, []core.Phase{{Aggs: specs, Theta: theta}}, core.Options{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("rowbatch-b%d", nb), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.Eval(base, detail, []core.Phase{{Aggs: specs, Theta: theta}},
-					core.Options{DisableColumnar: true}); err != nil {
 					b.Fatal(err)
 				}
 			}

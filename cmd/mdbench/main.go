@@ -78,7 +78,6 @@ func main() {
 		{"e13", "Section 5: dialect round-trip of the worked examples", e13},
 		{"e14", "Theorem 4.1 over a disk-resident detail: memory/scan trade", e14},
 		{"e15", "probe pipeline: fingerprint pre-filter on low-hit-rate θ", e15},
-		{"e16", "probe pipeline: morsel scheduler vs static split under skew", e16},
 		{"e17", "cross-query shared scans: concurrent queries over one R vs N relations", e17},
 		{"e18", "incremental maintenance: 1% delta append vs full re-evaluation", e18},
 	}
@@ -542,9 +541,9 @@ func e12() {
 	detail := sales(rows(50000), 12)
 	specs := []agg.Spec{agg.NewSpec("sum", expr.QC("R", "sale"), "total")}
 	fmt.Println("Algorithm 3.1 nested loop vs Section 4.5 hash index on B")
-	fmt.Println("(columnar = chunked typed-vector executor [default], rowbatch = boxed row")
-	fmt.Println(" batches, scalar = map-index tuple-at-a-time)")
-	fmt.Printf("%8s %14s %14s %14s %14s %10s\n", "|B|", "columnar", "rowbatch", "scalar", "nested-loop", "nl/col")
+	fmt.Println("(columnar = chunked typed-vector executor [default], scalar = map-index")
+	fmt.Println(" tuple-at-a-time)")
+	fmt.Printf("%8s %14s %14s %14s %10s\n", "|B|", "columnar", "scalar", "nested-loop", "nl/col")
 	for _, nb := range []int{100, 1000, 5000} {
 		base := must(cube.DistinctBase(detail, "cust", "month"))
 		if base.Len() > nb {
@@ -558,12 +557,8 @@ func e12() {
 		idx := record(fmt.Sprintf("indexed-b%d", base.Len()), detail.Len(), sIdx, func() {
 			must(core.Eval(base, detail, []core.Phase{{Aggs: specs, Theta: theta}}, core.Options{Stats: sIdx}))
 		})
-		// Every tier records its Stats so the -json snapshot carries the
-		// per-phase tier/kernel counters for all four configurations.
-		sRB := &core.Stats{}
-		rb := record(fmt.Sprintf("rowbatch-b%d", base.Len()), detail.Len(), sRB, func() {
-			must(core.Eval(base, detail, []core.Phase{{Aggs: specs, Theta: theta}}, core.Options{DisableColumnar: true, Stats: sRB}))
-		})
+		// Every configuration records its Stats so the -json snapshot
+		// carries the per-phase tier/kernel counters for all three.
 		sSc := &core.Stats{}
 		sc := record(fmt.Sprintf("scalar-b%d", base.Len()), detail.Len(), sSc, func() {
 			must(core.Eval(base, detail, []core.Phase{{Aggs: specs, Theta: theta}}, core.Options{DisableBatch: true, Stats: sSc}))
@@ -572,7 +567,7 @@ func e12() {
 		nl := record(fmt.Sprintf("nested-b%d", base.Len()), detail.Len(), sNL, func() {
 			must(core.Eval(base, detail, []core.Phase{{Aggs: specs, Theta: theta}}, core.Options{DisableIndex: true, Stats: sNL}))
 		})
-		fmt.Printf("%8d %14v %14v %14v %14v %9.1fx\n", base.Len(), idx, rb, sc, nl, float64(nl)/float64(idx))
+		fmt.Printf("%8d %14v %14v %14v %9.1fx\n", base.Len(), idx, sc, nl, float64(nl)/float64(idx))
 	}
 }
 
@@ -654,9 +649,9 @@ func e15() {
 		expr.Eq(expr.QC("R", "month"), expr.C("month")))
 	fmt.Println("low-hit-rate θ: B keeps a sliver of the key domain, so almost every probe")
 	fmt.Println("misses; the index's 8-bit tag filter resolves misses without loading the")
-	fmt.Println("hash array (filter counters from PhaseStats; scalar/rowbatch have none)")
-	fmt.Printf("%8s %12s %12s %12s %10s %10s %8s\n",
-		"|B|", "columnar", "rowbatch", "scalar", "checked", "skipped", "hit%")
+	fmt.Println("hash array (filter counters from PhaseStats; scalar has none)")
+	fmt.Printf("%8s %12s %12s %10s %10s %8s\n",
+		"|B|", "columnar", "scalar", "checked", "skipped", "hit%")
 	for _, nb := range []int{50, 200} {
 		base := &table.Table{Schema: full.Schema, Rows: full.Rows}
 		if base.Len() > nb {
@@ -665,10 +660,6 @@ func e15() {
 		sCol := &core.Stats{}
 		col := record(fmt.Sprintf("filter-b%d", base.Len()), detail.Len(), sCol, func() {
 			must(core.Eval(base, detail, []core.Phase{{Aggs: specs, Theta: theta}}, core.Options{Stats: sCol}))
-		})
-		sRB := &core.Stats{}
-		rb := record(fmt.Sprintf("filter-rowbatch-b%d", base.Len()), detail.Len(), sRB, func() {
-			must(core.Eval(base, detail, []core.Phase{{Aggs: specs, Theta: theta}}, core.Options{DisableColumnar: true, Stats: sRB}))
 		})
 		sSc := &core.Stats{}
 		sc := record(fmt.Sprintf("filter-scalar-b%d", base.Len()), detail.Len(), sSc, func() {
@@ -679,69 +670,8 @@ func e15() {
 		if ph.IndexProbes > 0 {
 			hitPct = 100 * float64(ph.IndexHits) / float64(ph.IndexProbes)
 		}
-		fmt.Printf("%8d %12v %12v %12v %10d %10d %7.2f%%\n",
-			base.Len(), col, rb, sc, ph.FilterChecked, ph.FilterSkipped, hitPct)
-	}
-}
-
-// ---------------------------------------------------------------- e16
-
-func e16() {
-	n := rows(400000)
-	hot := n / 4
-	// Skewed survival: the first quarter of R holds every key that exists
-	// in B (the per-match aggregation work), the rest only misses. A static
-	// p=4 split hands all of it to worker 0; the morsel cursor spreads it.
-	// Builder-built, so the parent table carries the columnar mirror the
-	// morsel workers share (static sub-slices must re-transpose).
-	db := table.NewBuilder(table.SchemaOf("cust", "month", "sale"))
-	for i := 0; i < n; i++ {
-		cust := int64(1000 + i%2000) // absent from B
-		if i < hot {
-			cust = int64(i % 50) // present in B
-		}
-		db.Append(table.Row{
-			table.Int(cust),
-			table.Int(int64(i%12 + 1)),
-			table.Float(float64(i%97) / 3),
-		})
-	}
-	detail := db.Table()
-	base := table.New(table.SchemaOf("cust", "month"))
-	for c := 0; c < 50; c++ {
-		for m := 1; m <= 12; m++ {
-			base.Append(table.Row{table.Int(int64(c)), table.Int(int64(m))})
-		}
-	}
-	specs := []agg.Spec{
-		agg.NewSpec("sum", expr.QC("R", "sale"), "total"),
-		agg.NewSpec("avg", expr.QC("R", "sale"), "mean"),
-		agg.NewSpec("min", expr.QC("R", "sale"), "lo"),
-		agg.NewSpec("max", expr.QC("R", "sale"), "hi"),
-	}
-	phases := []core.Phase{{Aggs: specs, Theta: expr.And(
-		expr.Eq(expr.QC("R", "cust"), expr.C("cust")),
-		expr.Eq(expr.QC("R", "month"), expr.C("month")))}}
-
-	const p = 4
-	fmt.Printf("|R| = %d (all surviving work in the first quarter), |B| = %d, p = %d, GOMAXPROCS = %d\n",
-		n, base.Len(), p, runtime.GOMAXPROCS(0))
-	static := record(fmt.Sprintf("skew-static-p%d", p), n, nil, func() {
-		must(core.Eval(base, detail, phases, core.Options{DetailParallelism: p, StaticDetailSplit: true}))
-	})
-	morsel := record(fmt.Sprintf("skew-morsel-p%d", p), n, nil, func() {
-		must(core.Eval(base, detail, phases, core.Options{DetailParallelism: p}))
-	})
-	fmt.Printf("%14s %14s %8s\n", "static split", "morsel queue", "ratio")
-	fmt.Printf("%14v %14v %7.2fx\n", static, morsel, float64(static)/float64(morsel))
-	if runtime.GOMAXPROCS(0) == 1 {
-		fmt.Println("(single-CPU host: the ratio reflects the morsel path's shared prebuilt")
-		fmt.Println(" chunk mirror — static sub-slices re-transpose per worker — while the")
-		fmt.Println(" straggler redistribution itself needs real cores to show in wall clock)")
-	} else {
-		fmt.Println("(static: worker 0 carries every surviving tuple while the rest idle;")
-		fmt.Println(" the morsel cursor redistributes the hot quarter across the pool, and")
-		fmt.Println(" workers share the prebuilt chunk mirror instead of re-transposing)")
+		fmt.Printf("%8d %12v %12v %10d %10d %7.2f%%\n",
+			base.Len(), col, sc, ph.FilterChecked, ph.FilterSkipped, hitPct)
 	}
 }
 

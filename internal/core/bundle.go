@@ -116,9 +116,9 @@ func (bu *Bundle) Detail() *table.Table { return bu.detail }
 // Mergeable reports whether the bundle can join a multi-query merged scan:
 // it must hold precompiled shared plans over a materialized detail table
 // and not request a strategy the merged driver does not model (recursive
-// partitioning, base parallelism, or the static reference scheduler).
+// partitioning or base parallelism).
 func (bu *Bundle) Mergeable() bool {
-	return bu.plans != nil && bu.detail != nil && !bu.opt.StaticDetailSplit
+	return bu.plans != nil && bu.detail != nil
 }
 
 // Run evaluates the bundle alone. Mergeable bundles go through the merged
@@ -142,8 +142,6 @@ func (bu *Bundle) Run() (*table.Table, error) {
 		return evalPartitioned(bu.base, bu.detail, bu.phases, bu.opt)
 	case bu.opt.Parallelism > 1:
 		return evalParallelBase(bu.base, bu.detail, bu.phases, bu.opt)
-	case bu.opt.StaticDetailSplit && bu.opt.DetailParallelism > 1:
-		return evalParallelDetailStatic(bu)
 	default:
 		rs := EvalBundles([]*Bundle{bu})
 		return rs[0].Table, rs[0].Err

@@ -1,29 +1,39 @@
 package core
 
 import (
+	"fmt"
+
 	"mdjoin/internal/agg"
 	"mdjoin/internal/expr"
 	"mdjoin/internal/table"
 )
 
-// Columnar chunk executor: the default inner loop of the detail scan.
+// Columnar chunk executor: the inner loop of the detail scan.
 //
-// The boxed batch executor (batch.go) still moves row-major []table.Row
-// batches and evaluates predicates value-at-a-time through boxed
-// table.Value vectors. The chunk executor instead transposes each batch
-// into a table.Chunk of typed columns — or, for detail tables built
-// through table.Builder, reuses the table's cached columnar mirror with no
-// transpose at all — and runs the per-phase pushdown filter, equi-key
-// evaluation, and aggregate feeds through the typed kernels of
-// internal/expr (FilterChunk/EvalChunk) and internal/agg (FoldInto/
-// FoldColumn). Residual θ conjuncts reference both relations, so they
-// still evaluate per pair over the row view.
+// Every scan driver slices R into fixed-size batches and hands each one to
+// batchDriver.processBatch. The executor views the batch as a table.Chunk
+// of typed columns — for detail tables built through table.Builder, the
+// table's cached columnar mirror with no transpose at all; otherwise a
+// transpose of just the needed ordinals — and runs the per-phase pushdown
+// filter, equi-key evaluation, and aggregate feeds through the typed
+// kernels of internal/expr (FilterChunk/EvalChunk) and internal/agg
+// (FoldInto/FoldColumn). Residual θ conjuncts reference both relations, so
+// they still evaluate per pair over the row view.
 //
-// Structure is deliberately parallel to processPhaseBatch: the same
-// selection-vector flow, the same dead/degenerate key handling, the same
-// stats accounting, so the three executor paths (scalar, boxed batch,
-// columnar) are interchangeable and diffable row for row and counter for
-// counter.
+// Structure is deliberately parallel to the scalar reference interpreter
+// (processTuple): the same dead/degenerate key handling and the same pair,
+// probe, and pushdown accounting, so the two executors are diffable row
+// for row and counter for counter. Context-cancellation polls and Stats
+// counter updates happen once per batch instead of once per tuple, and all
+// scratch lives on the worker's compiledPhase and batchDriver, so
+// steady-state scanning allocates nothing.
+
+// batchSize is the number of detail tuples processed per batch: large
+// enough to amortize per-batch work (selection reset, stats flush, ctx
+// poll), small enough that the batch's column vectors stay cache-resident.
+// It equals table.ChunkSize so a Builder-built detail table's cached
+// chunks line up one-to-one with the scan's batches.
+const batchSize = table.ChunkSize
 
 // chunkPhase holds one worker's compiled columnar programs and scratch for
 // one phase. The ChunkCompiled kernels own scratch output columns, so a
@@ -64,26 +74,29 @@ func addOrd(ords []int, o int) []int {
 }
 
 // newChunkPhase compiles the phase's predicate pieces against the chunked
-// detail slot. It returns nil — and the phase falls back to the boxed
-// batch path — if an index-key or pushdown expression cannot be
-// chunk-compiled (by construction of the θ analysis they always can; the
-// guard keeps the fallback airtight rather than load-bearing). A spec
-// argument that cannot be chunk-compiled only disables the typed feed for
-// that spec, not the whole phase.
+// detail slot. Pushdown and index-key expressions read only R by
+// construction of the θ analysis, and CompileChunk accepts every node type
+// Compile does, so their compilation cannot fail; if it ever does, the
+// panic carries the CompileChunk error (EvalBundles isolates it per bundle
+// as a *PanicError). A spec argument that cannot be chunk-compiled only
+// disables the typed feed for that spec, not the whole phase.
 func newChunkPhase(pp *phasePlan) *chunkPhase {
 	cpk := &chunkPhase{ords: []int{}}
-	addOrds := func(cc *expr.ChunkCompiled) {
+	addOrds := func(cc *expr.ChunkCompiled) *expr.ChunkCompiled {
 		for _, o := range cc.Ordinals() {
 			cpk.ords = addOrd(cpk.ords, o)
 		}
+		return cc
+	}
+	mustCompile := func(e expr.Expr) *expr.ChunkCompiled {
+		cc, err := expr.CompileChunk(e, pp.bind, pp.rslot)
+		if err != nil {
+			panic(fmt.Errorf("core: phase %d: %w", pp.pi, err))
+		}
+		return addOrds(cc)
 	}
 	if pp.rOnly != nil {
-		cc, err := expr.CompileChunk(pp.rOnly.Source(), pp.bind, pp.rslot)
-		if err != nil {
-			return nil
-		}
-		cpk.rOnly = cc
-		addOrds(cc)
+		cpk.rOnly = mustCompile(pp.rOnly.Source())
 	}
 	if pp.index != nil {
 		n := len(pp.equiKeys)
@@ -91,12 +104,7 @@ func newChunkPhase(pp *phasePlan) *chunkPhase {
 		cpk.keyCols = make([]*table.Column, n)
 		cpk.keyScr = make([]table.Column, n)
 		for i, ke := range pp.equiKeys {
-			cc, err := expr.CompileChunk(ke.Source(), pp.bind, pp.rslot)
-			if err != nil {
-				return nil
-			}
-			cpk.keys[i] = cc
-			addOrds(cc)
+			cpk.keys[i] = mustCompile(ke.Source())
 		}
 		if len(pp.cubePos) == 0 {
 			if ix, ok := pp.index.(*table.Index); ok {
@@ -119,84 +127,88 @@ func newChunkPhase(pp *phasePlan) *chunkPhase {
 			cpk.feedable = false // e.g. sum(B.x - R.y): per-pair boxed feed
 			continue
 		}
-		cpk.args[j] = cc
-		addOrds(cc)
+		cpk.args[j] = addOrds(cc)
 	}
 	return cpk
 }
 
 // batchDriver owns one worker's per-scan state: the evaluation frame, the
-// scratch chunk that batches are transposed into, the union of ordinals
-// worth transposing, and — when the detail table was built through
-// table.Builder — its prebuilt chunks, consumed aligned with the batch
-// loop so the scan skips the transpose entirely.
+// scalar interpreter's probe-key buffer, and the scratch chunk that
+// batches without a prebuilt chunk are transposed into (only the union of
+// ordinals some phase reads).
 type batchDriver struct {
-	frame    []table.Row
-	columnar bool
-	rSchema  *table.Schema
+	frame   []table.Row
+	key     []table.Value
+	rSchema *table.Schema
 	// scratch is allocated lazily on the first batch with no prebuilt
 	// chunk, so scans over Builder-built tables never pay for it.
-	scratch  *table.Chunk
-	ords     []int
-	prebuilt []*table.Chunk
+	scratch *table.Chunk
+	ords    []int
 }
 
-// newBatchDriver prepares a driver for one scan. columnar stays false when
-// no phase runs columnar, making the driver a plain frame holder for the
-// boxed batch path.
+// newBatchDriver prepares a driver for one scan over phases cps (the union
+// of every merged bundle's phases, when the driver is shared).
 func newBatchDriver(rSchema *table.Schema, cps []*compiledPhase) *batchDriver {
-	d := &batchDriver{frame: make([]table.Row, 2), rSchema: rSchema}
+	// ords stays non-nil: LoadRows reads nil as "transpose every column".
+	d := &batchDriver{frame: make([]table.Row, 2), rSchema: rSchema, ords: []int{}}
 	for _, cp := range cps {
 		if cp.chunk == nil {
 			continue
 		}
-		d.columnar = true
 		for _, o := range cp.chunk.ords {
 			d.ords = addOrd(d.ords, o)
 		}
 	}
-	if d.columnar && d.ords == nil {
-		d.ords = []int{} // non-nil: transpose no columns, not all of them
-	}
 	return d
 }
 
-// processBatch folds one batch of detail tuples into every phase,
-// providing columnar phases with a chunk view of the batch: the prebuilt
-// chunk when the caller has one, otherwise a transpose of just the needed
-// ordinals into the driver's scratch chunk.
+// transpose loads the batch's needed columns into the scratch chunk and
+// returns it.
+func (d *batchDriver) transpose(batch []table.Row) *table.Chunk {
+	if d.scratch == nil {
+		d.scratch = table.NewChunk(d.rSchema)
+	}
+	d.scratch.LoadRows(batch, d.ords)
+	return d.scratch
+}
+
+// processBatch is the one entry point every scan driver feeds detail
+// batches through. It folds the batch into every phase of cps (one
+// bundle's phases, all compiled with the same DisableBatch setting). The
+// columnar executor reads ch — the batch's prebuilt chunk, or the scratch
+// chunk a caller already transposed it into — and transposes the batch
+// itself when ch is nil. Under DisableBatch the scalar reference
+// interpreter folds the rows one at a time and the batch counters stay
+// zero.
 func (d *batchDriver) processBatch(b *table.Table, cps []*compiledPhase, batch []table.Row, ch *table.Chunk, stats *Stats) {
+	if len(cps) > 0 && cps[0].scalar {
+		for _, t := range batch {
+			d.key = processTuple(b, cps, d.frame, d.key, t, stats)
+		}
+		return
+	}
+	if ch == nil {
+		ch = d.transpose(batch)
+	}
 	if stats != nil {
 		stats.TuplesScanned += len(batch)
 		stats.Batches++
-		if ch != nil {
+		if ch == d.scratch {
+			stats.ChunksTransposed++
+		} else {
 			stats.ChunksPrebuilt++
 		}
 	}
-	if ch == nil && d.columnar {
-		if d.scratch == nil {
-			d.scratch = table.NewChunk(d.rSchema)
-		}
-		d.scratch.LoadRows(batch, d.ords)
-		ch = d.scratch
-		if stats != nil {
-			stats.ChunksTransposed++
-		}
-	}
 	for _, cp := range cps {
-		if cp.chunk != nil && ch != nil {
-			processPhaseChunk(b, cp, d.frame, batch, ch, stats)
-		} else {
-			processPhaseBatch(b, cp, d.frame, batch, stats)
-		}
+		processPhaseChunk(b, cp, d.frame, batch, ch, stats)
 	}
 }
 
-// processPhaseChunk is processPhaseBatch over a columnar chunk: pushdown
+// processPhaseChunk runs one phase over one batch's chunk: pushdown
 // filters through FilterChunk, equi keys evaluate through EvalChunk into
 // typed columns, aggregate arguments resolve once per batch, and the fused
 // probe-and-feed loop gathers keys from the columns. Pair bookkeeping is
-// identical to the boxed path so Stats stay bit-for-bit equal.
+// identical to the scalar interpreter's, so Semantic() stats agree.
 func processPhaseChunk(b *table.Table, cp *compiledPhase, frame []table.Row, batch []table.Row, ch *table.Chunk, stats *Stats) {
 	cpk := cp.chunk
 	frame[0], frame[1] = nil, nil
@@ -222,8 +234,7 @@ func processPhaseChunk(b *table.Table, cp *compiledPhase, frame []table.Row, bat
 	// Resolve each chunkable aggregate argument once per batch. Plain
 	// column references come back zero-copy; computed arguments evaluate
 	// over the surviving selection (for selective phases this can touch
-	// tuples that end up matching nothing — the price of batching, same as
-	// the boxed path's key evaluation).
+	// tuples that end up matching nothing — the price of batching).
 	for j, cc := range cpk.args {
 		if cc == nil {
 			cpk.argCols[j] = nil
@@ -448,4 +459,93 @@ func countKernel(ph *PhaseStats, cc *expr.ChunkCompiled, n int) {
 	} else {
 		ph.TypedElems += int64(n)
 	}
+}
+
+// probeCubeBatched is probeCube with batch-local counters: one probe per
+// cube-equality combination, so a tuple updates its 2^k cube cells in one
+// pass. si carries the tuple's chunk position through to feedPair.
+func probeCubeBatched(cp *compiledPhase, b *table.Table, key []table.Value, frame []table.Row, si int) (tested, matched, probes, hits int) {
+	k := len(cp.cubePos)
+	if cap(cp.savedBuf) < k {
+		cp.savedBuf = make([]table.Value, k)
+	}
+	saved := cp.savedBuf[:k]
+	for i, p := range cp.cubePos {
+		saved[i] = key[p]
+	}
+	for mask := 0; mask < 1<<k; mask++ {
+		for i, p := range cp.cubePos {
+			if mask&(1<<i) != 0 {
+				key[p] = table.All()
+			} else {
+				key[p] = saved[i]
+			}
+		}
+		cp.probeBuf = cp.index.ProbeAppend(cp.probeBuf[:0], key)
+		probes++
+		hits += len(cp.probeBuf)
+		for _, bi := range cp.probeBuf {
+			if !cp.bAlive[bi] {
+				continue
+			}
+			tested++
+			if feedPair(cp, b.Rows[bi], bi, frame, si) {
+				matched++
+			}
+		}
+	}
+	for i, p := range cp.cubePos {
+		key[p] = saved[i]
+	}
+	return tested, matched, probes, hits
+}
+
+// feedPair checks the residual θ conjuncts for one (b, r) pair and feeds
+// the aggregates on success, reporting whether the pair matched. Unlike
+// updatePair it leaves the stats counters to the caller's batch-local
+// accumulators. si is the tuple's position in the current chunk: specs
+// with a resolved argument column fold the typed payload at si; the rest
+// (count(*), or an argument that references B) feed through the row frame.
+func feedPair(cp *compiledPhase, brow table.Row, bi int, frame []table.Row, si int) bool {
+	frame[0] = brow
+	if cp.residual != nil && !cp.residual.Truth(frame) {
+		return false
+	}
+	row := cp.states.Row(bi)
+	for j, c := range cp.specs {
+		if col := cp.chunk.argCols[j]; col != nil {
+			agg.FoldInto(row[j], col, si)
+		} else {
+			c.Feed(row[j], frame)
+		}
+	}
+	return true
+}
+
+// flushPhaseStats adds one phase-batch's pair and probe counters to the
+// shared Stats — the amortization point of the overhead contract: the
+// fused loops above count into locals unconditionally and pay the nil
+// check once per batch.
+func flushPhaseStats(stats *Stats, pi, tested, matched, probes, hits int) {
+	if stats == nil {
+		return
+	}
+	stats.PairsTested += tested
+	stats.PairsMatched += matched
+	ph := stats.phase(pi)
+	ph.PairsTested += tested
+	ph.PairsMatched += matched
+	ph.IndexProbes += probes
+	ph.IndexHits += hits
+}
+
+// flushFilterStats adds one batch's fingerprint pre-filter counters —
+// same amortization contract as flushPhaseStats.
+func flushFilterStats(stats *Stats, pi, checked, skipped int) {
+	if stats == nil {
+		return
+	}
+	ph := stats.phase(pi)
+	ph.FilterChecked += checked
+	ph.FilterSkipped += skipped
 }

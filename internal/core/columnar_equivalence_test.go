@@ -10,32 +10,24 @@ import (
 	"mdjoin/internal/table"
 )
 
-// The columnar chunk executor is the third implementation of the operator;
-// this file extends the equivalence matrix of batch_equivalence_test.go to
-// all three paths: scalar (DisableBatch) vs boxed row-batch
-// (DisableColumnar) vs columnar (default). Beyond the shapes the two-way
-// matrix covers, the trials here exercise what is new in the columnar
-// representation: dictionary-encoded string keys with NULL (and cube-ALL
-// base cells), mixed-kind detail columns that demote chunk columns to the
-// boxed fallback, chunk-boundary cardinalities, and prebuilt Builder
-// chunks vs on-the-fly transposition. Results must be row-identical.
+// This file extends the equivalence matrix of batch_equivalence_test.go —
+// scalar (DisableBatch) vs columnar (default) — to what is specific to the
+// columnar representation: dictionary-encoded string keys with NULL (and
+// cube-ALL base cells), mixed-kind detail columns that demote chunk
+// columns to the boxed fallback, chunk-boundary cardinalities, and
+// prebuilt Builder chunks vs on-the-fly transposition. Results must be
+// row-identical.
 
-// threeWay evaluates the phase under all three executors derived from opt
-// and fails on the first divergence. It returns the columnar result so
+// columnarVsScalar evaluates the phase under both executors derived from
+// opt and fails on a divergence. It returns the columnar result so
 // callers can chain further comparisons.
-func threeWay(t *testing.T, label string, b, r *table.Table, specs []agg.Spec, theta expr.Expr, opt Options) *table.Table {
+func columnarVsScalar(t *testing.T, label string, b, r *table.Table, specs []agg.Spec, theta expr.Expr, opt Options) *table.Table {
 	t.Helper()
 	scalarOpt := opt
 	scalarOpt.DisableBatch = true
-	rowOpt := opt
-	rowOpt.DisableColumnar = true
 
 	scalar := mdJoin(t, b, r, specs, theta, scalarOpt)
-	rowbatch := mdJoin(t, b, r, specs, theta, rowOpt)
 	columnar := mdJoin(t, b, r, specs, theta, opt)
-	if d := scalar.Diff(rowbatch); d != "" {
-		t.Fatalf("%s: row-batch vs scalar: %s", label, d)
-	}
 	if d := scalar.Diff(columnar); d != "" {
 		t.Fatalf("%s: columnar vs scalar: %s", label, d)
 	}
@@ -127,8 +119,8 @@ func mixedValue(rng *rand.Rand) table.Value {
 }
 
 // TestColumnarMatrixAgainstScalar runs the full options matrix over int,
-// string-dictionary, and mixed-kind relations, diffing all three executor
-// paths per combination.
+// string-dictionary, and mixed-kind relations, diffing both executors per
+// combination.
 func TestColumnarMatrixAgainstScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(8000))
 	for trial := 0; trial < 18; trial++ {
@@ -166,7 +158,7 @@ func TestColumnarMatrixAgainstScalar(t *testing.T) {
 		ref := refMDJoin(t, b, r, specs, theta, Options{})
 		for name, opt := range batchMatrix() {
 			label := fmt.Sprintf("trial %d, %s, θ=%s", trial, name, theta)
-			got := threeWay(t, label, b, r, specs, theta, opt)
+			got := columnarVsScalar(t, label, b, r, specs, theta, opt)
 			if d := ref.Diff(got); d != "" {
 				t.Fatalf("%s: columnar vs reference: %s", label, d)
 			}
@@ -186,8 +178,8 @@ func TestColumnarMixedKindColumns(t *testing.T) {
 	for trial := 0; trial < 12; trial++ {
 		b, r := genMixedKindRelations(rng)
 		theta := expr.Eq(expr.QC("R", "g1"), expr.C("g1"))
-		threeWay(t, fmt.Sprintf("mixed trial %d indexed", trial), b, r, specs, theta, Options{})
-		threeWay(t, fmt.Sprintf("mixed trial %d nested", trial), b, r, specs, theta, Options{DisableIndex: true})
+		columnarVsScalar(t, fmt.Sprintf("mixed trial %d indexed", trial), b, r, specs, theta, Options{})
+		columnarVsScalar(t, fmt.Sprintf("mixed trial %d nested", trial), b, r, specs, theta, Options{DisableIndex: true})
 	}
 }
 
@@ -222,8 +214,8 @@ func TestColumnarChunkBoundaries(t *testing.T) {
 			t.Fatalf("|R|=%d: Builder table must carry cached chunks at the executor batch size", n)
 		}
 
-		fromAppend := threeWay(t, fmt.Sprintf("|R|=%d appended", n), b, appended, specs, theta, Options{})
-		fromBuilder := threeWay(t, fmt.Sprintf("|R|=%d built", n), b, builtTab, specs, theta, Options{})
+		fromAppend := columnarVsScalar(t, fmt.Sprintf("|R|=%d appended", n), b, appended, specs, theta, Options{})
+		fromBuilder := columnarVsScalar(t, fmt.Sprintf("|R|=%d built", n), b, builtTab, specs, theta, Options{})
 		if d := fromAppend.Diff(fromBuilder); d != "" {
 			t.Fatalf("|R|=%d: transposed vs prebuilt chunks: %s", n, d)
 		}
@@ -255,16 +247,16 @@ func TestColumnarBulkFoldPath(t *testing.T) {
 	}
 	// No θ at all: every tuple matches every base row.
 	always := expr.V(table.Bool(true))
-	threeWay(t, "bulk unfiltered", b, r, nil, always, Options{})
-	threeWay(t, "bulk aggs unfiltered", b, r, specs, always, Options{})
+	columnarVsScalar(t, "bulk unfiltered", b, r, nil, always, Options{})
+	columnarVsScalar(t, "bulk aggs unfiltered", b, r, specs, always, Options{})
 	// R-only filter: the bulk fold runs over the compacted selection.
-	threeWay(t, "bulk pushdown", b, r, specs, expr.Le(expr.QC("R", "f"), expr.I(1)), Options{})
+	columnarVsScalar(t, "bulk pushdown", b, r, specs, expr.Le(expr.QC("R", "f"), expr.I(1)), Options{})
 	// B-only conjunct: dead base rows must stay out of the fold.
 	theta := expr.And(expr.Le(expr.QC("R", "f"), expr.I(2)), expr.Eq(expr.C("tag"), expr.S("hi")))
-	threeWay(t, "bulk balive", b, r, specs, theta, Options{})
+	columnarVsScalar(t, "bulk balive", b, r, specs, theta, Options{})
 }
 
-// TestColumnarStatsMatch: all three executors must report identical
+// TestColumnarStatsMatch: both executors must report identical
 // executor-independent Stats (the Semantic projection — tuple, pair, probe,
 // and pushdown counters) on indexed, bulk-fold, and residual-bearing
 // shapes, and each must report its own tier.
@@ -290,23 +282,22 @@ func TestColumnarStatsMatch(t *testing.T) {
 		},
 		func() (*table.Table, *table.Table, expr.Expr) {
 			b, r := genBatchRelations(rng, false)
-			// Residual-only: per-pair checks on all three paths.
+			// Residual-only: per-pair checks on both executors.
 			return b, r, expr.Ge(expr.QC("R", "w"), expr.Mul(expr.C("g1"), expr.I(10)))
 		},
 	} {
 		b, r, theta := mk()
 		specs := stdSpecs()
-		var scalar, rowbatch, columnar Stats
+		var scalar, columnar Stats
 		mdJoin(t, b, r, specs, theta, Options{Stats: &scalar, DisableBatch: true})
-		mdJoin(t, b, r, specs, theta, Options{Stats: &rowbatch, DisableColumnar: true})
 		mdJoin(t, b, r, specs, theta, Options{Stats: &columnar})
-		if scalar.Semantic() != rowbatch.Semantic() || scalar.Semantic() != columnar.Semantic() {
-			t.Fatalf("shape %d: stats diverge:\n scalar   %s\n rowbatch %s\n columnar %s",
-				trial, scalar.Semantic(), rowbatch.Semantic(), columnar.Semantic())
+		if scalar.Semantic() != columnar.Semantic() {
+			t.Fatalf("shape %d: stats diverge:\n scalar   %s\n columnar %s",
+				trial, scalar.Semantic(), columnar.Semantic())
 		}
-		if scalar.Tier() != TierScalar || rowbatch.Tier() != TierRowBatch || columnar.Tier() != TierColumnar {
-			t.Fatalf("shape %d: tier misreported: scalar=%v rowbatch=%v columnar=%v",
-				trial, scalar.Tier(), rowbatch.Tier(), columnar.Tier())
+		if scalar.Tier() != TierScalar || columnar.Tier() != TierColumnar {
+			t.Fatalf("shape %d: tier misreported: scalar=%v columnar=%v",
+				trial, scalar.Tier(), columnar.Tier())
 		}
 	}
 }

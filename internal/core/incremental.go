@@ -92,7 +92,6 @@ type Incremental struct {
 	plans  []*phasePlan
 	cps    []*compiledPhase
 	driver *batchDriver
-	scalar bool
 
 	// subtract is true when the window evicts by replay-and-unmerge;
 	// false selects partitioned buckets (or no window at all).
@@ -105,11 +104,6 @@ type Incremental struct {
 	live  int   // rows currently contributing to Snapshot
 	total int64 // rows ever appended
 	err   error // poisoned after a mid-append interruption
-
-	// scalar-tier scratch (persistent so the per-tuple path allocates
-	// nothing per append)
-	frame []table.Row
-	key   []table.Value
 }
 
 // NewIncremental compiles MD(b, R, l, θ) into a live materialization with
@@ -157,8 +151,6 @@ func NewIncremental(b *table.Table, rSchema *table.Schema, phases []Phase, opt O
 		plans:   plans,
 		cps:     cps,
 		driver:  newBatchDriver(rSchema, cps),
-		scalar:  opt.DisableBatch,
-		frame:   make([]table.Row, 2),
 	}
 	if cfg.WindowBuckets > 0 {
 		inc.cur = &bucket{}
@@ -263,28 +255,16 @@ func (inc *Incremental) Append(rows []table.Row) error {
 	return nil
 }
 
-// feed runs the delta through the compiled pipeline: the persistent batch
-// driver on the vectorized tiers (reusing its scratch chunk, whose
-// dictionaries — and the prober's translation memos keyed on them — grow
-// append-only across calls), or the tuple-at-a-time interpreter under
-// DisableBatch. The context is polled at batch cadence, same as a scan.
+// feed runs the delta through the compiled pipeline's persistent batch
+// driver (reusing its scratch chunk, whose dictionaries — and the prober's
+// translation memos keyed on them — grow append-only across calls). The
+// context is polled at batch cadence, same as a scan.
 func (inc *Incremental) feed(rows []table.Row) error {
 	stats := inc.opt.Stats
-	if inc.scalar {
-		for i, t := range rows {
-			// The i == 0 poll is the caller's (Append checks before any
-			// state changes), so a cancellation can only interrupt a
-			// partially-applied delta, never a pristine one.
-			if i > 0 && i%cancelCheckInterval == 0 {
-				if err := ctxErr(inc.opt.Ctx); err != nil {
-					return err
-				}
-			}
-			inc.key = processTuple(inc.base, inc.cps, inc.frame, inc.key, t, stats)
-		}
-		return nil
-	}
 	for start := 0; start < len(rows); start += batchSize {
+		// The first poll is the caller's (Append checks before any state
+		// changes), so a cancellation can only interrupt a
+		// partially-applied delta, never a pristine one.
 		if start > 0 {
 			if err := ctxErr(inc.opt.Ctx); err != nil {
 				return err

@@ -13,12 +13,10 @@ import (
 )
 
 // incTiers is the executor-tier matrix every incremental differential
-// runs across: the scalar interpreter, the boxed row-batch executor, and
-// the columnar chunk executor.
+// runs across: the scalar interpreter and the columnar chunk executor.
 func incTiers() map[string]Options {
 	return map[string]Options{
 		"scalar":   {DisableBatch: true},
-		"boxed":    {DisableColumnar: true},
 		"columnar": {},
 	}
 }
@@ -66,7 +64,7 @@ func appendSchedule(rng *rand.Rand, rows []table.Row) [][]table.Row {
 // for randomized append schedules over randomized (B, R, θ) — mixed equi
 // /residual/pushdown θs, cube equality with ALL-marked bases, NULL detail
 // keys — Snapshot() after every delta is byte-identical to a batch Eval
-// over the detail rows accumulated so far, on all three executor tiers.
+// over the detail rows accumulated so far, on both executor tiers.
 func TestIncrementalMatchesBatch(t *testing.T) {
 	for tier, topt := range incTiers() {
 		t.Run(tier, func(t *testing.T) {

@@ -22,19 +22,18 @@
 //   - Theorem 4.1: partitioned evaluation bounds resident base rows
 //     (m scans of R), and both base- and detail-partitioned parallelism.
 //
-// Three interchangeable inner loops drive the detail scan. The default is
-// the columnar chunk executor (chunk.go): R is processed in fixed-size
-// batches viewed as table.Chunk columns — typed arrays plus NULL/ALL
-// bitmaps, either prebuilt by table.Builder or transposed on the fly — and
+// Every scan driver — single, morsel-parallel, merged across queries,
+// streaming, incremental — slices R into fixed-size batches and feeds each
+// one through batchDriver.processBatch, which runs one of two executors.
+// The default is the columnar chunk executor (chunk.go): each batch is
+// viewed as table.Chunk columns — typed arrays plus NULL/ALL bitmaps,
+// either prebuilt by table.Builder or transposed on the fly — and
 // per-phase R-only conjuncts, index-key expressions, and aggregate
 // arguments all run through typed kernels before a fused probe-and-feed
 // loop updates arena-backed aggregate states through a flat
-// open-addressing index. Options.DisableColumnar keeps the same batch
-// structure but row-major: boxed table.Value vectors per batch (batch.go),
-// the PR 2 executor. The tuple-at-a-time interpreter below is kept
+// open-addressing index. The tuple-at-a-time interpreter below is kept
 // verbatim as the Algorithm 3.1 reference, selectable via
-// Options.DisableBatch, so equivalence tests and benches can diff all
-// three.
+// Options.DisableBatch, so equivalence tests and benches can diff the two.
 package core
 
 import (
@@ -54,7 +53,7 @@ type Phase struct {
 }
 
 // Options tune the execution strategy. The zero value gives the fully
-// optimized single-pass evaluation (vectorized batches, index on, pushdown
+// optimized single-pass evaluation (columnar batches, index on, pushdown
 // on, sequential).
 type Options struct {
 	// BAlias and RAlias add extra qualifiers under which θ may reference
@@ -74,19 +73,13 @@ type Options struct {
 	DisablePushdown bool
 
 	// DisableBatch forces the tuple-at-a-time interpreter instead of the
-	// vectorized batch executor: each detail tuple is dispatched through
+	// columnar chunk executor: each detail tuple is dispatched through
 	// every phase individually and the base index (if any) is the
 	// map-backed reference implementation. Combined with DisableIndex this
 	// is the verbatim Algorithm 3.1 nested loop. Equivalence tests diff
-	// the batched paths against it; benches use it as the scalar baseline.
+	// the columnar executor against it; benches use it as the scalar
+	// baseline.
 	DisableBatch bool
-
-	// DisableColumnar keeps the row-batch executor: batches stay row-major
-	// []table.Row and predicates, keys, and aggregate arguments evaluate
-	// through the boxed value kernels instead of the typed columnar chunk
-	// kernels. Ignored when DisableBatch already selected the scalar
-	// interpreter. Equivalence tests diff all three executor paths.
-	DisableColumnar bool
 
 	// MaxBaseRows, when positive, bounds how many base rows are resident
 	// at once; B is split into ceil(|B|/MaxBaseRows) contiguous partitions
@@ -122,23 +115,17 @@ type Options struct {
 	// cannot idle the rest of the pool.
 	DetailParallelism int
 
-	// StaticDetailSplit restores the pre-morsel detail parallelism: R is
-	// split into p contiguous ranges up front, one per worker. Kept as
-	// the reference scheduler the skew benchmarks diff the morsel queue
-	// against; production callers should leave it false.
-	StaticDetailSplit bool
-
 	// Stats, when non-nil, receives the execution metrics tree (flat
 	// counters plus per-phase tier/index/pushdown/kernel detail). A nil
 	// Stats costs the hot path nothing beyond a pointer check — see the
 	// overhead contract in stats.go.
 	Stats *Stats
 
-	// Ctx, when non-nil, is polled during detail scans (once per batch on
-	// the vectorized path, every cancelCheckInterval tuples on the scalar
-	// path); cancellation aborts the evaluation with ctx.Err(). This is
-	// what lets a distributed site abandon work whose caller has timed out
-	// instead of scanning to completion. Under a merged multi-query scan
+	// Ctx, when non-nil, is polled during detail scans (once per batch of
+	// cancelCheckInterval tuples, on either executor); cancellation aborts
+	// the evaluation with ctx.Err(). This is what lets a distributed site
+	// abandon work whose caller has timed out instead of scanning to
+	// completion. Under a merged multi-query scan
 	// the poll is per bundle: cancellation evicts this caller's phases
 	// without aborting the shared scan.
 	Ctx context.Context
@@ -152,9 +139,9 @@ type Options struct {
 }
 
 // cancelCheckInterval bounds how many detail tuples are processed between
-// Ctx polls on the scalar path: frequent enough that a cancelled scan
-// stops promptly, rare enough that the check is invisible in the profile.
-// The batch executor polls once per batch, which is the same cadence.
+// Ctx polls: frequent enough that a cancelled scan stops promptly, rare
+// enough that the check is invisible in the profile. Drivers poll once per
+// batch, and batchSize is the same 1024.
 const cancelCheckInterval = 1024
 
 // ctxErr reports the context's error if it has been cancelled; a nil
@@ -241,17 +228,15 @@ type phasePlan struct {
 	cubePos []int
 	cubeAt  []bool
 	// index over B's equi columns (nil → nested loop). Flat when the
-	// batch executor drives the scan, map-backed for the scalar reference.
+	// columnar executor drives the scan, map-backed for the scalar
+	// reference.
 	index probeIndex
 	// scalar is true when Options.DisableBatch selected the
-	// tuple-at-a-time interpreter.
-	scalar bool
-	// columnar is true when the chunk executor should drive this phase
-	// (batching on, DisableColumnar off); newPhaseExecs then compiles the
+	// tuple-at-a-time interpreter; otherwise newPhaseExecs compiles the
 	// per-worker chunkPhase from bind/rslot.
-	columnar bool
-	bind     *expr.Binding
-	rslot    int
+	scalar bool
+	bind   *expr.Binding
+	rslot  int
 	// bAlive[i] == false when the B-only conjuncts exclude row i forever.
 	bAlive []bool
 }
@@ -268,12 +253,9 @@ type compiledPhase struct {
 	probeBuf []int
 	savedBuf []table.Value
 	keyBuf   []table.Value
-	// batch-executor scratch: the selection vector and one column vector
-	// per equi-key expression
-	sel     []int32
-	keyCols [][]table.Value
-	// chunk holds this worker's compiled columnar programs when the phase
-	// runs on the chunk executor; nil selects the boxed row-batch path.
+	sel      []int32
+	// chunk holds this worker's compiled columnar programs (nil on the
+	// scalar interpreter).
 	chunk *chunkPhase
 }
 
@@ -325,7 +307,6 @@ func compilePhases(b *table.Table, rSchema *table.Schema, phases []Phase, opt Op
 			pi:       pi,
 			analysis: ta,
 			scalar:   opt.DisableBatch,
-			columnar: !opt.DisableBatch && !opt.DisableColumnar,
 			bind:     bind,
 			rslot:    rslot,
 		}
@@ -425,9 +406,7 @@ func newPhaseExecs(plans []*phasePlan, nBase int) []*compiledPhase {
 			phasePlan: pp,
 			states:    agg.NewArena(pp.specs, nBase),
 		}
-		if pp.columnar {
-			// nil on (unreachable) chunk-compile failure, which quietly
-			// falls back to the boxed row-batch path for this phase.
+		if !pp.scalar {
 			cp.chunk = newChunkPhase(pp)
 		}
 		out[i] = cp
@@ -446,45 +425,19 @@ func recordArenas(stats *Stats, cps []*compiledPhase) {
 }
 
 // recordTiers notes which executor will drive each phase's scan: the
-// scalar interpreter, the boxed row-batch path, or — when the phase's
-// chunk programs compiled — the columnar chunk executor.
+// scalar interpreter or the columnar chunk executor.
 func recordTiers(stats *Stats, cps []*compiledPhase) {
 	if stats == nil {
 		return
 	}
 	for _, cp := range cps {
 		ph := stats.phase(cp.pi)
-		switch {
-		case cp.scalar:
+		if cp.scalar {
 			ph.Tier = TierScalar
-		case cp.chunk != nil:
+		} else {
 			ph.Tier = TierColumnar
-		default:
-			ph.Tier = TierRowBatch
 		}
 	}
-}
-
-// scanDetail performs the detail scan over a materialized table, updating
-// every phase's states. The vectorized batch executor drives the scan
-// unless the phases were compiled with DisableBatch. A cancelled ctx
-// aborts the scan between tuples (scalar) or batches (vectorized).
-func scanDetail(ctx context.Context, b, r *table.Table, cps []*compiledPhase, stats *Stats) error {
-	recordTiers(stats, cps)
-	if len(cps) > 0 && !cps[0].scalar {
-		return scanDetailBatched(ctx, b, r, cps, stats)
-	}
-	frame := make([]table.Row, 2)
-	var key []table.Value
-	for i, t := range r.Rows {
-		if i%cancelCheckInterval == 0 {
-			if err := ctxErr(ctx); err != nil {
-				return err
-			}
-		}
-		key = processTuple(b, cps, frame, key, t, stats)
-	}
-	return nil
 }
 
 // processTuple folds one detail tuple into every phase; it returns the

@@ -81,20 +81,11 @@ func (run *bundleRun) wstats(wi int) *Stats {
 	return &run.stats[wi]
 }
 
-// mergedExec is one bundle's per-worker execution state.
-type mergedExec struct {
-	cps      []*compiledPhase
-	scalar   bool // tuple-at-a-time interpreter (Options.DisableBatch)
-	columnar bool // any phase runs on the chunk executor
-}
-
-// feedBatch folds one detail batch into this bundle's phases. ch is the
-// batch's columnar view (nil when no live bundle needs one); transposed
-// tells the prebuilt/transposed accounting apart. When isolate is set the
-// bundle is merged with others and a panic out of its phases evicts it
-// instead of unwinding the scan. Returns the (possibly grown) scalar
-// probe-key buffer for reuse.
-func (run *bundleRun) feedBatch(ex *mergedExec, frame []table.Row, key []table.Value, batch []table.Row, ch *table.Chunk, transposed bool, st *Stats, isolate bool) []table.Value {
+// feedBatch folds one detail batch into this bundle's phases cps. ch is
+// the batch's chunk view (nil when no columnar bundle has needed one yet).
+// When isolate is set the bundle is merged with others and a panic out of
+// its phases evicts it instead of unwinding the scan.
+func (run *bundleRun) feedBatch(d *batchDriver, cps []*compiledPhase, batch []table.Row, ch *table.Chunk, st *Stats, isolate bool) {
 	if isolate {
 		defer func() {
 			if p := recover(); p != nil {
@@ -102,38 +93,13 @@ func (run *bundleRun) feedBatch(ex *mergedExec, frame []table.Row, key []table.V
 			}
 		}()
 	}
-	b := run.bu.base
-	if ex.scalar {
-		for _, t := range batch {
-			key = processTuple(b, ex.cps, frame, key, t, st)
-		}
-		return key
-	}
-	if st != nil {
-		st.TuplesScanned += len(batch)
-		st.Batches++
-		if ex.columnar && ch != nil {
-			if transposed {
-				st.ChunksTransposed++
-			} else {
-				st.ChunksPrebuilt++
-			}
-		}
-	}
-	for _, cp := range ex.cps {
-		if cp.chunk != nil && ch != nil {
-			processPhaseChunk(b, cp, frame, batch, ch, st)
-		} else {
-			processPhaseBatch(b, cp, frame, batch, st)
-		}
-	}
-	return key
+	d.processBatch(run.bu.base, cps, batch, ch, st)
 }
 
 // bindWorker prepares worker wi's execution state for this bundle. Like
 // feedBatch, a panic (corrupt base data reaching arena sizing) evicts the
 // bundle instead of unwinding the scan when merged.
-func (run *bundleRun) bindWorker(wi int, st *Stats, isolate bool) (ex mergedExec, ok bool) {
+func (run *bundleRun) bindWorker(wi int, st *Stats, isolate bool) []*compiledPhase {
 	if isolate {
 		defer func() {
 			if p := recover(); p != nil {
@@ -145,13 +111,7 @@ func (run *bundleRun) bindWorker(wi int, st *Stats, isolate bool) (ex mergedExec
 	recordTiers(st, cps)
 	recordArenas(st, cps)
 	run.workers[wi] = cps
-	ex = mergedExec{cps: cps, scalar: len(cps) > 0 && cps[0].scalar}
-	for _, cp := range cps {
-		if cp.chunk != nil {
-			ex.columnar = true
-		}
-	}
-	return ex, true
+	return cps
 }
 
 // EvalBundles runs the merged multi-B evaluation: one scan of the shared
@@ -239,15 +199,18 @@ func EvalBundles(bundles []*Bundle) []BundleResult {
 	rows := detail.Rows
 	var cursor atomic.Int64
 	worker := func(wi int) {
-		execs := make([]mergedExec, len(runs))
+		execs := make([][]*compiledPhase, len(runs))
+		var all []*compiledPhase
 		for bi, run := range runs {
 			if run.evicted.Load() {
 				continue
 			}
-			execs[bi], _ = run.bindWorker(wi, run.wstats(wi), isolate)
+			execs[bi] = run.bindWorker(wi, run.wstats(wi), isolate)
+			all = append(all, execs[bi]...)
 		}
-		d := newBatchDriver(detail.Schema, allPhases(execs))
-		var key []table.Value
+		// One driver serves every bundle, so its transpose set is the union
+		// of the detail ordinals any bundle's phases read.
+		d := newBatchDriver(detail.Schema, all)
 		for {
 			lo := int(cursor.Add(int64(morsel))) - morsel
 			if lo >= n {
@@ -264,7 +227,6 @@ func EvalBundles(bundles []*Bundle) []BundleResult {
 				}
 				batch := rows[off:end]
 				var ch *table.Chunk
-				transposed := false
 				live := 0
 				for bi, run := range runs {
 					if run.evicted.Load() {
@@ -276,21 +238,16 @@ func EvalBundles(bundles []*Bundle) []BundleResult {
 						run.evict(err)
 						continue
 					}
-					if ch == nil && execs[bi].columnar {
+					if ch == nil && !execs[bi][0].scalar {
 						// First live columnar bundle materializes the
 						// batch's chunk view; the rest share it.
 						if prebuilt != nil {
 							ch = prebuilt[off/batchSize]
 						} else {
-							if d.scratch == nil {
-								d.scratch = table.NewChunk(detail.Schema)
-							}
-							d.scratch.LoadRows(batch, d.ords)
-							ch = d.scratch
-							transposed = true
+							ch = d.transpose(batch)
 						}
 					}
-					key = run.feedBatch(&execs[bi], d.frame, key, batch, ch, transposed, run.wstats(wi), isolate)
+					run.feedBatch(d, execs[bi], batch, ch, run.wstats(wi), isolate)
 					if !run.evicted.Load() {
 						live++
 					}
@@ -353,14 +310,4 @@ func EvalBundles(bundles []*Bundle) []BundleResult {
 		results[bi] = BundleResult{Table: out}
 	}
 	return results
-}
-
-// allPhases flattens every bundle's per-worker phases so one batch driver
-// can size its transpose set (the union of detail ordinals any phase reads).
-func allPhases(execs []mergedExec) []*compiledPhase {
-	var all []*compiledPhase
-	for i := range execs {
-		all = append(all, execs[i].cps...)
-	}
-	return all
 }

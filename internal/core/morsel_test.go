@@ -1,8 +1,6 @@
 package core
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -12,37 +10,32 @@ import (
 	"mdjoin/internal/table"
 )
 
-// Tests for the morsel-driven detail scheduler (evalParallelDetail) and
-// the dict→dict probe translation it drives: the dynamic cursor queue
-// must be row-identical and Semantic-identical to both the single-scan
-// evaluator and the retained static splitter, across every degenerate
-// shape the cursor arithmetic can meet.
+// Tests for the morsel-driven detail scheduler (the merged driver's
+// cursor queue) and the dict→dict probe translation it drives: the
+// dynamic cursor queue must be row-identical and Semantic-identical to the
+// single-scan evaluator across every degenerate shape the cursor
+// arithmetic can meet.
 
-// evalMorselVsRefs evaluates one phase under the morsel scheduler, the
-// static splitter, and the single scan, failing on any divergence in rows
-// or in the executor-independent Stats projection.
+// evalMorselVsRefs evaluates one phase under the morsel scheduler and the
+// single scan, failing on any divergence in rows or in the
+// executor-independent Stats projection.
 func evalMorselVsRefs(t *testing.T, label string, b, r *table.Table, specs []agg.Spec, theta expr.Expr, p int) {
 	t.Helper()
-	var sM, sS, s1 Stats
+	var sM, s1 Stats
 	morsel := mdJoin(t, b, r, specs, theta, Options{DetailParallelism: p, Stats: &sM})
-	static := mdJoin(t, b, r, specs, theta, Options{DetailParallelism: p, StaticDetailSplit: true, Stats: &sS})
 	single := mdJoin(t, b, r, specs, theta, Options{Stats: &s1})
 	if d := single.Diff(morsel); d != "" {
 		t.Fatalf("%s: morsel p=%d vs single: %s", label, p, d)
 	}
-	if d := single.Diff(static); d != "" {
-		t.Fatalf("%s: static p=%d vs single: %s", label, p, d)
-	}
-	if sM.Semantic() != s1.Semantic() || sS.Semantic() != s1.Semantic() {
-		t.Fatalf("%s p=%d: stats diverge:\n morsel %s\n static %s\n single %s",
-			label, p, sM.Semantic(), sS.Semantic(), s1.Semantic())
+	if sM.Semantic() != s1.Semantic() {
+		t.Fatalf("%s p=%d: stats diverge:\n morsel %s\n single %s",
+			label, p, sM.Semantic(), s1.Semantic())
 	}
 }
 
 // TestMorselDegenerateShapes pins the cursor arithmetic at the shapes
 // where the queue collapses: empty R, one row, exactly one morsel, one
-// morsel plus a row, p far beyond the morsel count, and p beyond r.Len()
-// (the clamp the static path also applies).
+// morsel plus a row, p far beyond the morsel count, and p beyond r.Len().
 func TestMorselDegenerateShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(9100))
 	specs := stdSpecs()
@@ -69,10 +62,10 @@ func TestMorselDegenerateShapes(t *testing.T) {
 	}
 }
 
-// TestMorselMatchesStaticSplit runs randomized relations — including the
+// TestMorselMatchesSingleScan runs randomized relations — including the
 // dict-encoded string keys that engage the translation path — through the
 // scheduler comparison at several worker counts.
-func TestMorselMatchesStaticSplit(t *testing.T) {
+func TestMorselMatchesSingleScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(9200))
 	for trial := 0; trial < 10; trial++ {
 		var b, r *table.Table
@@ -90,23 +83,61 @@ func TestMorselMatchesStaticSplit(t *testing.T) {
 	}
 }
 
-// TestCancelMidStaticParallelDetailNoLeak is the StaticDetailSplit
-// variant of TestCancelMidParallelDetailNoLeak (which now exercises the
-// morsel path): cancelling mid-scan must error with context.Canceled and
-// leave no worker goroutine behind.
-func TestCancelMidStaticParallelDetailNoLeak(t *testing.T) {
-	g := newGateAgg("testgate_static_pd")
-	base, detail := gateTables(64 * 1024)
-	settle := checkGoroutines(t)
-	err := runGated(t, g, func(ctx context.Context) error {
-		_, err := Eval(base, detail, gatePhases(g),
-			Options{Ctx: ctx, DetailParallelism: 4, StaticDetailSplit: true})
-		return err
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("want context.Canceled, got %v", err)
+// TestMorselSkewSharesPrebuiltChunks runs the skewed-survival shape —
+// every key present in B sits in the first quarter of a Builder-built R —
+// under DetailParallelism 4. The morsel workers must agree with a single
+// scan row for row and in Semantic() stats, and every batch must read the
+// parent table's prebuilt chunk mirror by offset: no worker transposes.
+// That chunk sharing is the scheduler-independent part of the morsel
+// queue's advantage on skew (a contiguous per-worker split of R loses the
+// mirror and re-transposes every batch).
+func TestMorselSkewSharesPrebuiltChunks(t *testing.T) {
+	const n = 8 * morselRows
+	hot := n / 4
+	db := table.NewBuilder(table.SchemaOf("cust", "month", "sale"))
+	for i := 0; i < n; i++ {
+		cust := int64(1000 + i%2000) // absent from B
+		if i < hot {
+			cust = int64(i % 50) // present in B
+		}
+		db.Append(table.Row{
+			table.Int(cust),
+			table.Int(int64(i%12 + 1)),
+			// Quarters sum exactly in float64, so the result cannot
+			// depend on the order the workers' arenas merge in.
+			table.Float(float64(i%97) / 4),
+		})
 	}
-	settle()
+	r := db.Table()
+	b := table.New(table.SchemaOf("cust", "month"))
+	for c := 0; c < 50; c++ {
+		for m := 1; m <= 12; m++ {
+			b.Append(table.Row{table.Int(int64(c)), table.Int(int64(m))})
+		}
+	}
+	specs := []agg.Spec{
+		agg.NewSpec("sum", expr.QC("R", "sale"), "total"),
+		agg.NewSpec("avg", expr.QC("R", "sale"), "mean"),
+		agg.NewSpec("min", expr.QC("R", "sale"), "lo"),
+		agg.NewSpec("max", expr.QC("R", "sale"), "hi"),
+	}
+	theta := expr.And(
+		expr.Eq(expr.QC("R", "cust"), expr.C("cust")),
+		expr.Eq(expr.QC("R", "month"), expr.C("month")))
+
+	var sM, s1 Stats
+	morsel := mdJoin(t, b, r, specs, theta, Options{DetailParallelism: 4, Stats: &sM})
+	single := mdJoin(t, b, r, specs, theta, Options{Stats: &s1})
+	if d := single.Diff(morsel); d != "" {
+		t.Fatalf("morsel vs single: %s", d)
+	}
+	if sM.Semantic() != s1.Semantic() {
+		t.Fatalf("stats diverge:\n morsel %s\n single %s", sM.Semantic(), s1.Semantic())
+	}
+	if sM.ChunksTransposed != 0 || sM.ChunksPrebuilt != sM.Batches || sM.Batches != n/batchSize {
+		t.Fatalf("morsel workers must read every batch from the prebuilt mirror: batches=%d prebuilt=%d transposed=%d (want %d/%d/0)",
+			sM.Batches, sM.ChunksPrebuilt, sM.ChunksTransposed, n/batchSize, n/batchSize)
+	}
 }
 
 // genDictRelations builds base/detail pairs around the dict→dict code
@@ -154,8 +185,8 @@ func genDictRelations(rng *rand.Rand, cube bool) (*table.Table, *table.Table) {
 }
 
 // TestDictTranslationEquivalence pins the translated probe path against
-// the scalar and row-batch references on mismatched dictionaries, NULL
-// keys, and — with cube masks — ALL base cells.
+// the scalar reference and the single scan on mismatched dictionaries,
+// NULL keys, and — with cube masks — ALL base cells.
 func TestDictTranslationEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(9300))
 	for trial := 0; trial < 12; trial++ {
@@ -172,7 +203,7 @@ func TestDictTranslationEquivalence(t *testing.T) {
 				expr.Eq(expr.QC("R", "g2"), expr.C("g2")))
 		}
 		label := fmt.Sprintf("dict trial %d (cube=%v)", trial, cube)
-		threeWay(t, label, b, r, stdSpecs(), theta, Options{})
+		columnarVsScalar(t, label, b, r, stdSpecs(), theta, Options{})
 		evalMorselVsRefs(t, label, b, r, stdSpecs(), theta, 4)
 	}
 }

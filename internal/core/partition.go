@@ -110,76 +110,6 @@ func evalParallelBase(b, r *table.Table, phases []Phase, opt Options) (*table.Ta
 // is the one-bundle case of the merged multi-query scan.
 const morselRows = 4 * batchSize
 
-// evalParallelDetailStatic is the pre-morsel reference scheduler
-// (Options.StaticDetailSplit): R is split into p contiguous ranges up
-// front, one per worker. A range whose tuples dominate the surviving work
-// turns its worker into a straggler the others cannot help — exactly the
-// skew the morsel queue exists to absorb; the skew bench guard diffs the
-// two. The bundle arrives with shared plans already compiled.
-func evalParallelDetailStatic(bu *Bundle) (*table.Table, error) {
-	b, r, opt := bu.base, bu.detail, bu.opt
-	p := opt.DetailParallelism
-	if p > r.Len() && r.Len() > 0 {
-		p = r.Len()
-	}
-	if p <= 1 {
-		// Degenerate split (|R| ≤ 1): run as a one-bundle merged scan.
-		bu.opt.StaticDetailSplit = false
-		bu.opt.DetailParallelism = 0
-		rs := EvalBundles([]*Bundle{bu})
-		return rs[0].Table, rs[0].Err
-	}
-	schema, plans := bu.schema, bu.plans
-
-	bounds := splitBounds(r.Len(), p)
-	workers := make([][]*compiledPhase, len(bounds))
-	errs := make([]error, len(bounds))
-	stats := make([]Stats, len(bounds))
-
-	var wg sync.WaitGroup
-	for wi, bd := range bounds {
-		wg.Add(1)
-		go func(wi, lo, hi int) {
-			defer wg.Done()
-			// Workers get private stats and states (merged below).
-			var st *Stats
-			if opt.Stats != nil {
-				st = &stats[wi]
-			}
-			cps := newPhaseExecs(plans, b.Len())
-			recordArenas(st, cps)
-			part := &table.Table{Schema: r.Schema, Rows: r.Rows[lo:hi]}
-			if err := scanDetail(opt.Ctx, b, part, cps, st); err != nil {
-				errs[wi] = err
-				return
-			}
-			workers[wi] = cps
-		}(wi, bd[0], bd[1])
-	}
-	wg.Wait()
-
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	if opt.Stats != nil {
-		opt.Stats.DetailScans++ // one logical scan, split across workers
-		for wi := range stats {
-			opt.Stats.Merge(&stats[wi])
-		}
-	}
-
-	// Merge worker states into worker 0, arena against arena.
-	merged := workers[0]
-	for _, w := range workers[1:] {
-		for pi := range merged {
-			merged[pi].states.Merge(w[pi].states)
-		}
-	}
-	return assemble(schema, b, merged), nil
-}
-
 // splitBounds divides n items into p contiguous [lo, hi) ranges of nearly
 // equal size; empty ranges are dropped.
 func splitBounds(n, p int) [][2]int {

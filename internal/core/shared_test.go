@@ -118,15 +118,13 @@ func genSharedQuery(rng *rand.Rand) sharedQuery {
 		specs = append(specs, agg.NewSpec("min", expr.QC("R", "w"), "lo"))
 	}
 	var opt Options
-	switch rng.Intn(5) {
+	switch rng.Intn(4) {
 	case 0: // columnar default
 	case 1:
 		opt.DisableBatch = true // scalar interpreter
 	case 2:
-		opt.DisableColumnar = true // boxed row-batch tier
-	case 3:
 		opt.DisableIndex = true // nested-loop access path
-	case 4:
+	case 3:
 		opt.DetailParallelism = 2 + rng.Intn(3)
 	}
 	return sharedQuery{
@@ -235,7 +233,6 @@ func TestEvalBundlesRejectsUnmergeable(t *testing.T) {
 	for name, bundles := range map[string][]*Bundle{
 		"mixed-details": {mk(r1, Options{}), mk(r2, Options{})},
 		"base-parallel": {mk(r1, Options{}), mk(r1, Options{Parallelism: 2})},
-		"static-split":  {mk(r1, Options{}), mk(r1, Options{StaticDetailSplit: true, DetailParallelism: 2})},
 	} {
 		results := EvalBundles(bundles)
 		for i, res := range results {

@@ -28,11 +28,12 @@ func EvalSource(b *table.Table, src table.Source, phases []Phase, opt Options) (
 	return bu.Run()
 }
 
-// scanSource streams one pass of the source through the phases. The
-// vectorized executor buffers rows into batches (source iterators hand
-// ownership of each row to the caller, so buffering is safe); the scalar
-// path processes tuple at a time. A cancelled ctx aborts the scan between
-// tuples or batches.
+// scanSource streams one pass of the source through the phases, buffering
+// rows into fixed-size batches. Source iterators hand ownership of each
+// returned row to the caller (table-backed iterators return stable
+// references, CSV iterators allocate fresh rows), so buffering never sees
+// a row mutated behind its back. A cancelled ctx aborts the scan between
+// batches.
 func scanSource(ctx context.Context, b *table.Table, src table.Source, cps []*compiledPhase, stats *Stats) error {
 	recordTiers(stats, cps)
 	it, err := src.Scan()
@@ -40,25 +41,27 @@ func scanSource(ctx context.Context, b *table.Table, src table.Source, cps []*co
 		return err
 	}
 	defer it.Close()
-	if len(cps) > 0 && !cps[0].scalar {
-		return scanIteratorBatched(ctx, b, src.Schema(), it, cps, stats)
-	}
-	frame := make([]table.Row, 2)
-	var key []table.Value
-	for i := 0; ; i++ {
-		if i%cancelCheckInterval == 0 {
-			if err := ctxErr(ctx); err != nil {
-				return err
-			}
-		}
-		t, err := it.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
+	d := newBatchDriver(src.Schema(), cps)
+	buf := make([]table.Row, 0, batchSize)
+	for {
+		if err := ctxErr(ctx); err != nil {
 			return err
 		}
-		key = processTuple(b, cps, frame, key, t, stats)
+		buf = buf[:0]
+		for len(buf) < batchSize {
+			t, err := it.Next()
+			if err == io.EOF {
+				if len(buf) > 0 {
+					d.processBatch(b, cps, buf, nil, stats)
+				}
+				return nil
+			}
+			if err != nil {
+				return err
+			}
+			buf = append(buf, t)
+		}
+		d.processBatch(b, cps, buf, nil, stats)
 	}
 }
 
@@ -270,27 +273,13 @@ func evalSourceParallelDetail(bu *Bundle) (*table.Table, error) {
 				}
 				return false
 			}
-			if len(cps) > 0 && !cps[0].scalar {
-				// Batched: each morsel is already one batch.
-				d := newBatchDriver(src.Schema(), cps)
-				for m := range morsels {
-					if drainOnCancel() {
-						return
-					}
-					d.processBatch(b, cps, m, nil, st)
-				}
-				workers[wi] = cps
-				return
-			}
-			frame := make([]table.Row, 2)
-			var key []table.Value
+			// Each morsel is already one batch.
+			d := newBatchDriver(src.Schema(), cps)
 			for m := range morsels {
 				if drainOnCancel() {
 					return
 				}
-				for _, t := range m {
-					key = processTuple(b, cps, frame, key, t, st)
-				}
+				d.processBatch(b, cps, m, nil, st)
 			}
 			workers[wi] = cps
 		}(wi)

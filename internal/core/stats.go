@@ -9,34 +9,33 @@ import (
 // Execution observability: the structured metrics tree every executor path
 // feeds. Collection follows one contract, enforced by TestStatsOverheadGuard:
 // when Options.Stats is nil the hot path pays nothing beyond a pointer
-// comparison — the batched executors accumulate counters in locals and
-// flush once per batch behind a nil check, the scalar reference path guards
-// every increment, and time.Now is never called. When Stats is non-nil the
-// cost stays amortized per batch, not per tuple.
+// comparison — the columnar executor accumulates counters in locals and
+// flushes once per batch behind a nil check, the scalar reference path
+// guards every increment, and time.Now is never called. When Stats is
+// non-nil the cost stays amortized per batch, not per tuple.
 
-// ExecTier identifies which executor drove a phase's detail scan.
+// ExecTier identifies which executor drove a phase's detail scan: the
+// scalar reference interpreter or the columnar chunk executor. Tiers are
+// serialized as numbers (the "tier" field of a JSON Stats tree), so the
+// values are pinned explicitly; 2 belonged to a retired boxed row-batch
+// executor and is not reused.
 type ExecTier int
 
 const (
 	// TierUnset means the phase has not been scanned (or stats were off).
-	TierUnset ExecTier = iota
+	TierUnset ExecTier = 0
 	// TierScalar is the tuple-at-a-time Algorithm 3.1 interpreter
 	// (Options.DisableBatch).
-	TierScalar
-	// TierRowBatch is the boxed row-batch executor of batch.go
-	// (Options.DisableColumnar, or a phase that failed chunk compilation).
-	TierRowBatch
+	TierScalar ExecTier = 1
 	// TierColumnar is the typed columnar chunk executor of chunk.go — the
 	// default.
-	TierColumnar
+	TierColumnar ExecTier = 3
 )
 
 func (t ExecTier) String() string {
 	switch t {
 	case TierScalar:
 		return "scalar"
-	case TierRowBatch:
-		return "rowbatch"
 	case TierColumnar:
 		return "columnar"
 	default:
@@ -62,12 +61,10 @@ type PhaseStats struct {
 	// the phase has no pushed conjuncts.
 	PushdownIn  int `json:"pushdown_in"`
 	PushdownOut int `json:"pushdown_out"`
-	// TypedElems/BoxedElems count elements evaluated by the batch kernels:
-	// on the columnar tier, elements whose kernel produced a typed column
-	// versus a boxed fallback column (the perf cliff this tree exists to
-	// expose); on the row-batch tier every kernel is boxed so all elements
-	// count as boxed; the scalar interpreter uses no batch kernels and
-	// leaves both zero.
+	// TypedElems/BoxedElems count elements evaluated by the columnar
+	// kernels: elements whose kernel produced a typed column versus a
+	// boxed fallback column (the perf cliff this tree exists to expose).
+	// The scalar interpreter uses no batch kernels and leaves both zero.
 	TypedElems int64 `json:"typed_elems"`
 	BoxedElems int64 `json:"boxed_elems"`
 	// PairsTested/PairsMatched are the phase's slice of the flat pair
@@ -96,7 +93,7 @@ type Stats struct {
 	PairsMatched  int  `json:"pairs_matched"`  // pairs that satisfied θ and updated aggregates
 	IndexUsed     bool `json:"index_used"`     // any phase built a base index
 
-	// Batches counts batch-executor iterations (zero on the scalar tier);
+	// Batches counts columnar-executor batches (zero on the scalar tier);
 	// ChunksPrebuilt/ChunksTransposed split the columnar batches into those
 	// served by a Builder-built columnar mirror and those transposed on the
 	// fly — the zero-transpose ratio of the chunk path.
@@ -182,9 +179,9 @@ func (s *Stats) Merge(o *Stats) {
 }
 
 // Tier reports the executor tier that drove the scan: the phases' common
-// tier, TierUnset when nothing was scanned (or a mix — multi-phase joins
-// where some phases fell back report the majority tier as "mixed" via
-// TierLabel, not here).
+// tier, TierUnset when nothing was scanned or the phases diverged (a
+// Stats tree merged across scalar and columnar runs renders "mixed" via
+// TierLabel instead).
 func (s *Stats) Tier() ExecTier {
 	t := TierUnset
 	for i := range s.Phases {
@@ -202,7 +199,7 @@ func (s *Stats) Tier() ExecTier {
 }
 
 // TierLabel renders the scan's executor tier for display: "scalar",
-// "rowbatch", "columnar", "mixed" when phases diverged, "" when unknown.
+// "columnar", "mixed" when phases diverged, "" when unknown.
 func (s *Stats) TierLabel() string {
 	seen := TierUnset
 	for i := range s.Phases {
@@ -242,7 +239,7 @@ func (s Stats) String() string {
 // counters that must be identical whichever tier drove the scan (tuple,
 // pair, probe, and pushdown accounting — not tiers, batch/chunk counts,
 // kernel element counts, or wall times, which differ by construction).
-// The three-way equivalence tests compare tiers by this string.
+// The equivalence tests compare the two executors by this string.
 func (s *Stats) Semantic() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "scans=%d tuples=%d pairs=%d matched=%d indexed=%t",

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -92,9 +93,8 @@ func TestStatsTierLabel(t *testing.T) {
 	}{
 		{nil, ""},
 		{[]PhaseStats{{Tier: TierScalar}}, "scalar"},
-		{[]PhaseStats{{Tier: TierRowBatch}}, "rowbatch"},
 		{[]PhaseStats{{Tier: TierColumnar}, {Tier: TierColumnar}}, "columnar"},
-		{[]PhaseStats{{Tier: TierColumnar}, {Tier: TierRowBatch}}, "mixed"},
+		{[]PhaseStats{{Tier: TierColumnar}, {Tier: TierScalar}}, "mixed"},
 		{[]PhaseStats{{Tier: TierUnset}, {Tier: TierScalar}}, "scalar"},
 	}
 	for i, c := range cases {
@@ -116,7 +116,6 @@ func TestStatsStringReportsTier(t *testing.T) {
 		want string
 	}{
 		{Options{}, "columnar"},
-		{Options{DisableColumnar: true}, "rowbatch"},
 		{Options{DisableBatch: true}, "scalar"},
 	} {
 		var s Stats
@@ -126,6 +125,36 @@ func TestStatsStringReportsTier(t *testing.T) {
 		}
 		if got := s.String(); !strings.Contains(got, tc.want) || !strings.Contains(got, "indexed") {
 			t.Errorf("String() = %q, want tier %q and access path", got, tc.want)
+		}
+	}
+}
+
+// TestStatsTierWireValues pins the JSON encoding of PhaseStats.Tier: the
+// tier travels as a number in serialized Stats trees (mdserve's ?stats=1
+// responses), so the columnar executor must keep encoding as 3 and the
+// scalar interpreter as 1 whatever other tiers come and go.
+func TestStatsTierWireValues(t *testing.T) {
+	b, r := statsFixture()
+	theta := expr.Eq(expr.QC("R", "g"), expr.C("g"))
+	specs := []agg.Spec{agg.NewSpec("count", nil, "n")}
+	for _, tc := range []struct {
+		opt  Options
+		want string
+	}{
+		{Options{}, `"tier":3`},
+		{Options{DisableBatch: true}, `"tier":1`},
+	} {
+		var s Stats
+		tc.opt.Stats = &s
+		if _, err := Eval(b, r, []Phase{{Aggs: specs, Theta: theta}}, tc.opt); err != nil {
+			t.Fatal(err)
+		}
+		data, err := json.Marshal(&s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(data), tc.want) {
+			t.Errorf("%s run encodes as %s, want %s", s.TierLabel(), data, tc.want)
 		}
 	}
 }
@@ -143,7 +172,7 @@ func statsFixture() (*table.Table, *table.Table) {
 }
 
 // TestPhaseStatsCounters sanity-checks the per-phase counters on an
-// indexed, pushdown-bearing query across all three tiers.
+// indexed, pushdown-bearing query on both tiers.
 func TestPhaseStatsCounters(t *testing.T) {
 	b, r := statsFixture()
 	theta := expr.And(
@@ -152,7 +181,6 @@ func TestPhaseStatsCounters(t *testing.T) {
 	specs := []agg.Spec{agg.NewSpec("sum", expr.QC("R", "w"), "total")}
 	for name, opt := range map[string]Options{
 		"columnar": {},
-		"rowbatch": {DisableColumnar: true},
 		"scalar":   {DisableBatch: true},
 	} {
 		var s Stats
@@ -187,12 +215,8 @@ func TestPhaseStatsCounters(t *testing.T) {
 			if s.Batches == 0 || ph.TypedElems == 0 {
 				t.Errorf("columnar: batches=%d typed=%d, want both > 0", s.Batches, ph.TypedElems)
 			}
-		case "rowbatch":
-			if s.Batches == 0 || ph.BoxedElems == 0 || ph.TypedElems != 0 {
-				t.Errorf("rowbatch: batches=%d boxed=%d typed=%d", s.Batches, ph.BoxedElems, ph.TypedElems)
-			}
 		case "scalar":
-			if s.Batches != 0 || ph.TypedElems != 0 || ph.BoxedElems != 0 {
+			if s.Batches != 0 || s.ChunksPrebuilt != 0 || s.ChunksTransposed != 0 || ph.TypedElems != 0 || ph.BoxedElems != 0 {
 				t.Errorf("scalar: batch counters must stay zero: %+v", s)
 			}
 		}

@@ -1,19 +1,14 @@
 package expr
 
-import "mdjoin/internal/table"
-
-// Batch evaluation: the vectorized MD-join executor processes the detail
-// relation in fixed-size batches, so per-phase predicates and index-key
-// expressions are evaluated once per batch into reusable column and
-// selection vectors instead of being re-dispatched tuple by tuple from the
-// scan loop.
+// Batch evaluation: the MD-join executor processes the detail relation in
+// fixed-size batches, so per-phase predicates and index-key expressions
+// run once per batch through the chunk kernels (chunk.go) instead of being
+// re-dispatched tuple by tuple from the scan loop.
 //
-// The convention mirrors columnar engines' selection vectors: a batch is a
-// slice of rows bound one at a time to a single frame slot (the other
-// slots stay fixed for the whole batch — for an MD-join θ, slot 1 varies
-// over R while slot 0 is nil or a pinned B row), and sel lists the batch
-// positions still alive. Both vector types are caller-owned and reused
-// across batches, so steady-state evaluation allocates nothing.
+// The convention mirrors columnar engines' selection vectors: sel lists
+// the batch positions still alive, and a filter compacts it in place to
+// the survivors. Selection vectors are caller-owned and reused across
+// batches, so steady-state evaluation allocates nothing.
 
 // IdentitySel resets sel to the full selection [0, n) and returns it,
 // growing the buffer only when n exceeds its capacity.
@@ -26,38 +21,4 @@ func IdentitySel(sel []int32, n int) []int32 {
 		sel[i] = int32(i)
 	}
 	return sel
-}
-
-// EvalSlotBatch evaluates the expression once per selected batch row,
-// binding batch[si] to frame[slot] for each si in sel, and writes the
-// results into out[si] (out is positional, parallel to batch). It returns
-// out, grown if its capacity was short. Unselected positions are left
-// untouched. frame[slot] is restored to nil afterwards.
-func (c *Compiled) EvalSlotBatch(frame []table.Row, slot int, batch []table.Row, sel []int32, out []table.Value) []table.Value {
-	if cap(out) < len(batch) {
-		out = make([]table.Value, len(batch))
-	}
-	out = out[:len(batch)]
-	for _, si := range sel {
-		frame[slot] = batch[si]
-		out[si] = c.eval(frame)
-	}
-	frame[slot] = nil
-	return out
-}
-
-// FilterSlotBatch evaluates the expression as a predicate (SQL WHERE
-// semantics: only boolean true passes) over the selected batch rows and
-// compacts sel in place to the surviving positions, returning the
-// shortened slice. frame[slot] is restored to nil afterwards.
-func (c *Compiled) FilterSlotBatch(frame []table.Row, slot int, batch []table.Row, sel []int32) []int32 {
-	out := sel[:0]
-	for _, si := range sel {
-		frame[slot] = batch[si]
-		if v := c.eval(frame); v.Kind() == table.KindBool && v.AsBool() {
-			out = append(out, si)
-		}
-	}
-	frame[slot] = nil
-	return out
 }

@@ -1,102 +1,6 @@
 package expr
 
-import (
-	"math/rand"
-	"testing"
-
-	"mdjoin/internal/table"
-)
-
-func batchFixture(t *testing.T) (*Binding, []table.Row) {
-	t.Helper()
-	b := NewBinding()
-	b.AddRel(table.SchemaOf("g"), "b")      // slot 0: pinned
-	b.AddRel(table.SchemaOf("x", "f"), "r") // slot 1: varies over the batch
-	rng := rand.New(rand.NewSource(21))
-	batch := make([]table.Row, 100)
-	for i := range batch {
-		var x table.Value = table.Int(int64(rng.Intn(10)))
-		if rng.Intn(8) == 0 {
-			x = table.Null()
-		}
-		batch[i] = table.Row{x, table.Int(int64(rng.Intn(3)))}
-	}
-	return b, batch
-}
-
-// TestEvalSlotBatchMatchesScalar: batch evaluation must agree position by
-// position with scalar Eval.
-func TestEvalSlotBatchMatchesScalar(t *testing.T) {
-	bind, batch := batchFixture(t)
-	c := MustCompile(Add(QC("r", "x"), I(5)), bind)
-
-	frame := make([]table.Row, 2)
-	sel := IdentitySel(nil, len(batch))
-	out := c.EvalSlotBatch(frame, 1, batch, sel, nil)
-	if frame[1] != nil {
-		t.Fatal("frame slot not restored")
-	}
-	for i, r := range batch {
-		frame[1] = r
-		if want := c.Eval(frame); !out[i].Equal(want) && !(out[i].IsNull() && want.IsNull()) {
-			t.Fatalf("pos %d: batch %v vs scalar %v", i, out[i], want)
-		}
-	}
-
-	// Partial selection: only selected positions are written.
-	out2 := make([]table.Value, len(batch))
-	for i := range out2 {
-		out2[i] = table.Str("sentinel")
-	}
-	frame = make([]table.Row, 2)
-	half := sel[:0]
-	for i := 0; i < len(batch); i += 2 {
-		half = append(half, int32(i))
-	}
-	out2 = c.EvalSlotBatch(frame, 1, batch, half, out2)
-	for i := range batch {
-		if i%2 == 1 {
-			if !out2[i].Equal(table.Str("sentinel")) {
-				t.Fatalf("unselected pos %d overwritten: %v", i, out2[i])
-			}
-		}
-	}
-}
-
-// TestFilterSlotBatchMatchesTruth: the compacted selection must hold
-// exactly the positions where scalar Truth reports true, in order.
-func TestFilterSlotBatchMatchesTruth(t *testing.T) {
-	bind, batch := batchFixture(t)
-	// Includes a NULL-producing comparison: NULL must filter out.
-	c := MustCompile(Gt(QC("r", "x"), I(4)), bind)
-
-	frame := make([]table.Row, 2)
-	sel := IdentitySel(nil, len(batch))
-	sel = c.FilterSlotBatch(frame, 1, batch, sel)
-	if frame[1] != nil {
-		t.Fatal("frame slot not restored")
-	}
-
-	var want []int32
-	sf := make([]table.Row, 2)
-	for i, r := range batch {
-		sf[1] = r
-		if c.Truth(sf) {
-			want = append(want, int32(i))
-		}
-	}
-	if len(sel) != len(want) {
-		t.Fatalf("filter kept %d, scalar %d", len(sel), len(want))
-	}
-	for i := range sel {
-		if sel[i] != want[i] {
-			t.Fatalf("pos %d: %d vs %d", i, sel[i], want[i])
-		}
-	}
-	if len(sel) == 0 || len(sel) == len(batch) {
-		t.Fatalf("degenerate fixture: %d of %d selected", len(sel), len(batch))
-	}
-}
+import "testing"
 
 // TestIdentitySelReuse pins buffer reuse across batches of varying size.
 func TestIdentitySelReuse(t *testing.T) {

@@ -176,9 +176,6 @@ func (p *Prepared) stamp(ctx context.Context, opt core.Options) optimizer.Plan {
 		if opt.DisableBatch {
 			o.DisableBatch = true
 		}
-		if opt.DisableColumnar {
-			o.DisableColumnar = true
-		}
 		return o
 	})
 }
